@@ -21,6 +21,7 @@ The JSON layout::
 
     {
       "generated_at": <unix seconds>,
+      "environment": {"n_cpus": ..., "machine": ..., ...},
       "ab": {...},            # repro.eval.perf.ab_compile_rank report
       "serving": {
         "delta_vs_full": {...},   # repro.eval.serving_perf.delta_vs_full
@@ -222,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     counters_before = get_registry().summary()
 
-    report: dict = {"generated_at": time.time()}
+    report: dict = {"generated_at": time.time(), "environment": environment()}
     ab = ab_compile_rank(densities=tuple(args.densities), repeats=args.repeats)
     report["ab"] = ab
     print(render_report(ab))
@@ -325,6 +326,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.enforce_overhead and not overhead_ok:
         return 1
     return 0
+
+
+def environment() -> dict:
+    """What the numbers were measured on (CPU count by affinity)."""
+    import platform
+
+    import numpy
+
+    from repro.eval.serving_perf import available_cpus
+
+    return {
+        "n_cpus": available_cpus(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 def merge_unrun_sections(report: dict, baseline: dict | None) -> dict:

@@ -36,6 +36,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
+from repro.core.model import SOURCE_HUMAN, SOURCE_MODEL
 from repro.core.scoring import normalize_rank_kind
 
 __all__ = [
@@ -181,10 +182,12 @@ class FilterSpec:
         return FilterSpec(**kwargs)
 
 
-def _source_match(has_model, has_human, is_model: bool, is_human: bool) -> bool:
-    if has_model is not None and is_model != has_model:
+def _source_match(has_model, has_human, sources) -> bool:
+    """Whether a component with observation ``sources`` passes the
+    ``has_model``/``has_human`` tri-state flags (``None`` = either)."""
+    if has_model is not None and (SOURCE_MODEL in sources) != has_model:
         return False
-    if has_human is not None and is_human != has_human:
+    if has_human is not None and (SOURCE_HUMAN in sources) != has_human:
         return False
     return True
 
@@ -204,18 +207,16 @@ class CompiledFilter:
         return f"CompiledFilter({self.spec!r}, kind={self.kind!r})"
 
     def __call__(self, *args) -> bool:
+        # ``Track.sources`` / ``ObservationBundle.sources`` rebuild a set
+        # on every access: read each one once per call.
         spec = self.spec
         if self.kind == "tracks":
             (track,) = args
-            if not _source_match(
-                spec.has_model, spec.has_human, track.has_model, track.has_human
-            ):
+            sources = track.sources
+            if not _source_match(spec.has_model, spec.has_human, sources):
                 return False
             if not _source_match(
-                spec.track_has_model,
-                spec.track_has_human,
-                track.has_model,
-                track.has_human,
+                spec.track_has_model, spec.track_has_human, sources
             ):
                 return False
             if (
@@ -228,15 +229,12 @@ class CompiledFilter:
             return True
         if self.kind == "bundles":
             bundle, track = args
-            if not _source_match(
-                spec.has_model, spec.has_human, bundle.has_model, bundle.has_human
-            ):
+            if not _source_match(spec.has_model, spec.has_human, bundle.sources):
                 return False
-            if not _source_match(
-                spec.track_has_model,
-                spec.track_has_human,
-                track.has_model,
-                track.has_human,
+            if (
+                spec.track_has_model is not None or spec.track_has_human is not None
+            ) and not _source_match(
+                spec.track_has_model, spec.track_has_human, track.sources
             ):
                 return False
             if (
@@ -252,9 +250,7 @@ class CompiledFilter:
             return True
         # observations
         (obs,) = args
-        if not _source_match(
-            spec.has_model, spec.has_human, obs.is_model, obs.is_human
-        ):
+        if not _source_match(spec.has_model, spec.has_human, (obs.source,)):
             return False
         if spec.classes is not None and obs.object_class not in spec.classes:
             return False

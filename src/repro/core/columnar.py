@@ -9,11 +9,15 @@ those per-item costs dominate end-to-end latency.
 
 This module is the columnar middle layer that removes them:
 
-- :class:`ObservationTable` — one pass over the scene flattens every
-  observation into parallel NumPy arrays (centers, dimensions, yaw,
-  frame, source/class codes) plus bundle / transition / track index
-  ranges. Rows are track-major, bundle-major, in-bundle order, so every
-  bundle, transition, and track covers a *contiguous* row range.
+- :class:`ObservationTable` — flattens every observation into parallel
+  NumPy arrays (centers, dimensions, yaw, frame, confidence,
+  source/class codes) plus bundle / transition / track index ranges.
+  Rows are track-major, bundle-major, in-bundle order, so every bundle,
+  transition, and track covers a *contiguous* row range. Construction
+  is one pass over the observations into a single float array, split
+  into the typed fields; the ranges come from cumulative sizes, and the
+  bundle representatives from one ``lexsort``. No step loops per
+  track, bundle or row in Python beyond that single read.
 - :class:`FeatureColumn` — all items of one feature across the scene as
   parallel arrays: feature values, validity, conditioning groups, member
   observation row ranges, and the per-track coordinates that name the
@@ -31,17 +35,31 @@ Compilation then scores each column with a handful of batched
 O(items × features) scalar density evaluations, and scoring reads
 factor potentials straight out of these arrays without materializing
 factor-graph node objects.
+
+The table's arrays are exact, not approximations: each field holds the
+observation attribute bit for bit (``None`` confidence as NaN), and
+``bundle_rep`` is :meth:`~repro.core.model.ObservationBundle.representative`
+row for row (see :mod:`repro.core.compile` for the kernel's
+byte-identity contract).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.features import Feature, FeatureContext
-from repro.core.model import Observation, ObservationBundle, Scene, Track
+from repro.core.model import (
+    SOURCE_HUMAN,
+    SOURCE_MODEL,
+    Observation,
+    ObservationBundle,
+    Scene,
+    Track,
+)
 
 __all__ = [
     "ObservationTable",
@@ -50,6 +68,32 @@ __all__ = [
     "SplicedTable",
     "SplicedMatrix",
 ]
+
+
+_OBS_FIELD_NAMES = (
+    "frame", "box.x", "box.y", "box.z", "box.length", "box.width",
+    "box.height", "box.yaw", "confidence",
+)
+_OBS_FIELDS = attrgetter(*_OBS_FIELD_NAMES)
+_OBS_ID = attrgetter("obs_id")
+_OBS_SOURCE = attrgetter("source")
+_OBS_CLASS = attrgetter("object_class")
+_BUNDLE_FRAME = attrgetter("frame")
+_BUNDLE_OBS = attrgetter("observations")
+_TRACK_BUNDLES = attrgetter("bundles")
+
+
+def cumulative_offsets(sizes) -> np.ndarray:
+    """Cumulative offsets ``[0, s0, s0+s1, ...]`` of consecutive ranges."""
+    out = np.zeros(len(sizes) + 1, dtype=int)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _slices(bounds: np.ndarray) -> list[tuple[int, int]]:
+    """``[start, stop)`` pairs (Python ints) from cumulative offsets."""
+    edges = bounds.tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def concat_arrays(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -74,34 +118,17 @@ class ObservationTable:
 
     def __init__(self, scene: Scene):
         self.scene = scene
-        observations: list[Observation] = []
-        bundles: list[ObservationBundle] = []
         self.tracks: list[Track] = list(scene.tracks)
-
-        bundle_start: list[int] = []
-        bundle_stop: list[int] = []
-        bundle_frame: list[int] = []
-        track_obs_slices: list[tuple[int, int]] = []
-        track_bundle_slices: list[tuple[int, int]] = []
-
-        for track in self.tracks:
-            t_obs_start = len(observations)
-            t_bundle_start = len(bundles)
-            for bundle in track.bundles:
-                bundle_start.append(len(observations))
-                observations.extend(bundle.observations)
-                bundle_stop.append(len(observations))
-                bundle_frame.append(bundle.frame)
-                bundles.append(bundle)
-            track_obs_slices.append((t_obs_start, len(observations)))
-            track_bundle_slices.append((t_bundle_start, len(bundles)))
-
+        bundles = [b for t in self.tracks for b in t.bundles]
+        observations = [o for b in bundles for o in b.observations]
         self.observations = observations
         self.bundles = bundles
-        self.row_of: dict[str, int] = {
-            obs.obs_id: row for row, obs in enumerate(observations)
-        }
-        if len(self.row_of) != len(observations):
+        n = len(observations)
+
+        self.row_of: dict[str, int] = dict(
+            zip(map(_OBS_ID, observations), range(n))
+        )
+        if len(self.row_of) != n:
             seen: set[str] = set()
             for obs in observations:
                 if obs.obs_id in seen:
@@ -109,49 +136,54 @@ class ObservationTable:
                     # produced via FactorGraph.add_variable.
                     raise ValueError(f"variable {obs.obs_id!r} already exists")
                 seen.add(obs.obs_id)
-        self.track_obs_slices = track_obs_slices
-        self.track_bundle_slices = track_bundle_slices
 
-        n = len(observations)
-        self.frame = np.fromiter((o.frame for o in observations), int, n)
-        self.x = np.fromiter((o.box.x for o in observations), float, n)
-        self.y = np.fromiter((o.box.y for o in observations), float, n)
-        self.z = np.fromiter((o.box.z for o in observations), float, n)
-        self.length = np.fromiter((o.box.length for o in observations), float, n)
-        self.width = np.fromiter((o.box.width for o in observations), float, n)
-        self.height = np.fromiter((o.box.height for o in observations), float, n)
-        self.yaw = np.fromiter((o.box.yaw for o in observations), float, n)
-        self.is_model = np.fromiter((o.is_model for o in observations), bool, n)
-        self.is_human = np.fromiter((o.is_human for o in observations), bool, n)
-        self.confidence = np.fromiter(
-            (math.nan if o.confidence is None else o.confidence
-             for o in observations),
+        # Every per-observation number in one pass, then split. NumPy
+        # reads a ``None`` confidence as NaN.
+        fields = np.fromiter(
+            chain.from_iterable(map(_OBS_FIELDS, observations)),
             float,
-            n,
-        )
-        self.obs_class: list[str] = [o.object_class for o in observations]
-        classes = sorted(set(self.obs_class))
-        class_code = {c: i for i, c in enumerate(classes)}
+            len(_OBS_FIELD_NAMES) * n,
+        ).reshape(n, len(_OBS_FIELD_NAMES)).T.copy()
+        self.frame = fields[0].astype(int)
+        (self.x, self.y, self.z, self.length, self.width, self.height,
+         self.yaw, self.confidence) = fields[1:]
+        sources = list(map(_OBS_SOURCE, observations))
+        self.is_model = np.fromiter(map(SOURCE_MODEL.__eq__, sources), bool, n)
+        self.is_human = np.fromiter(map(SOURCE_HUMAN.__eq__, sources), bool, n)
+        self.obs_class: list[str] = list(map(_OBS_CLASS, observations))
+        class_code = {c: i for i, c in enumerate(sorted(set(self.obs_class)))}
         self.class_codes = np.fromiter(
-            (class_code[c] for c in self.obs_class), int, n
+            map(class_code.__getitem__, self.obs_class), int, n
         )
 
-        self.bundle_start = np.asarray(bundle_start, dtype=int)
-        self.bundle_stop = np.asarray(bundle_stop, dtype=int)
-        self.bundle_frame = np.asarray(bundle_frame, dtype=int)
+        # Bundle and track geometry from cumulative sizes.
+        nb = len(bundles)
+        sizes = np.fromiter(map(len, map(_BUNDLE_OBS, bundles)), int, nb)
+        bundle_bounds = cumulative_offsets(sizes)
+        self.bundle_start = bundle_bounds[:-1]
+        self.bundle_stop = bundle_bounds[1:]
+        self.bundle_frame = np.fromiter(map(_BUNDLE_FRAME, bundles), int, nb)
         self.bundle_rep = self._representative_rows()
 
+        per_track = np.fromiter(
+            map(len, map(_TRACK_BUNDLES, self.tracks)), int, len(self.tracks)
+        )
+        track_bundles = cumulative_offsets(per_track)
+        track_obs = bundle_bounds[track_bundles]
         # Transitions: adjacent bundle pairs within each track.
-        before: list[int] = []
-        track_trans_slices: list[tuple[int, int]] = []
-        for b_start, b_stop in track_bundle_slices:
-            t_start = len(before)
-            before.extend(range(b_start, b_stop - 1))
-            track_trans_slices.append((t_start, len(before)))
-        self.trans_before = np.asarray(before, dtype=int)
+        track_of = np.arange(len(self.tracks)).repeat(per_track)
+        self.trans_before = (track_of[1:] == track_of[:-1]).nonzero()[0]
         self.trans_after = self.trans_before + 1
-        self.track_trans_slices = track_trans_slices
+        track_trans = self.trans_before.searchsorted(track_bundles)
 
+        self._kind_bounds = {
+            "observation": track_obs,
+            "bundle": track_bundles,
+            "transition": track_trans,
+        }
+        self.track_obs_slices = _slices(track_obs)
+        self.track_bundle_slices = _slices(track_bundles)
+        self.track_trans_slices = _slices(track_trans)
         self._transitions: list[tuple] | None = None
 
     # ------------------------------------------------------------------
@@ -270,17 +302,22 @@ class ObservationTable:
 
         Mirrors :meth:`repro.core.model.ObservationBundle.representative`:
         the highest-confidence model observation (first wins ties), else
-        the bundle's first observation.
+        the bundle's first observation (its start row, for an empty
+        bundle). One ``lexsort`` over the candidate rows orders them by
+        (bundle, confidence descending, row); each bundle's first
+        candidate is its representative.
         """
-        reps = np.array(self.bundle_start, dtype=int, copy=True)
-        is_model, conf = self.is_model, self.confidence
-        for b, (start, stop) in enumerate(zip(self.bundle_start, self.bundle_stop)):
-            best_row, best_conf = -1, -math.inf
-            for row in range(start, stop):
-                if is_model[row] and not math.isnan(conf[row]) and conf[row] > best_conf:
-                    best_row, best_conf = row, conf[row]
-            if best_row >= 0:
-                reps[b] = best_row
+        reps = self.bundle_start.copy()
+        candidates = (self.is_model & ~np.isnan(self.confidence)).nonzero()[0]
+        if candidates.size:
+            bundle_of = self.bundle_stop.searchsorted(candidates, "right")
+            order = np.lexsort(
+                (candidates, -self.confidence[candidates], bundle_of)
+            )
+            bundle_of = bundle_of[order]
+            first = np.ones(bundle_of.size, dtype=bool)
+            first[1:] = bundle_of[1:] != bundle_of[:-1]
+            reps[bundle_of[first]] = candidates[order][first]
         return reps
 
     # ------------------------------------------------------------------
@@ -328,10 +365,25 @@ class ObservationTable:
                 self.bundle_stop[self.trans_after],
             )
         if kind == "track":
-            starts = np.asarray([s for s, _ in self.track_obs_slices], dtype=int)
-            stops = np.asarray([e for _, e in self.track_obs_slices], dtype=int)
-            return starts, stops
+            bounds = self.kind_track_bounds("observation")
+            return bounds[:-1], bounds[1:]
         raise ValueError(f"unknown feature kind {kind!r}")
+
+    def kind_track_bounds(self, kind: str) -> np.ndarray:
+        """Per-track item offsets of a kind as one array: track ``t``
+        covers items ``[bounds[t], bounds[t + 1])`` (memoized)."""
+        memo = self.__dict__.setdefault("_kind_bounds", {})
+        bounds = memo.get(kind)
+        if bounds is None:
+            if kind == "track":
+                bounds = np.arange(len(self.tracks) + 1)
+            else:
+                slices = self.kind_track_slices(kind)
+                bounds = np.asarray(
+                    [0] + [e for _, e in slices], dtype=int
+                )
+            memo[kind] = bounds
+        return bounds
 
     def kind_track_slices(self, kind: str) -> list[tuple[int, int]]:
         """Per-track ``[start, stop)`` item ranges for a kind."""
@@ -355,9 +407,10 @@ class ObservationTable:
         if kind == "observation":
             return self.obs_class
         if kind == "bundle":
-            return [self.obs_class[r] for r in self.bundle_rep]
+            return list(map(self.obs_class.__getitem__, self.bundle_rep.tolist()))
         if kind == "transition":
-            return [self.obs_class[self.bundle_rep[b]] for b in self.trans_before]
+            reps = self.bundle_rep[self.trans_before]
+            return list(map(self.obs_class.__getitem__, reps.tolist()))
         if kind == "track":
             return [t.majority_class() for t in self.tracks]
         raise ValueError(f"unknown feature kind {kind!r}")
@@ -412,6 +465,16 @@ class FeatureColumn:
         if self.items is not None:
             return self.items[row]
         return self.table.kind_items(self.kind)[row]
+
+    def track_stops(self) -> np.ndarray:
+        """End row of each track's ``[start, stop)`` slice, as an array
+        (track slices are consecutive, so row ``r`` belongs to track
+        ``searchsorted(stops, r, "right")``)."""
+        if self.items is None:
+            return self.table.kind_track_bounds(self.kind)[1:]
+        return np.fromiter(
+            (e for _, e in self.track_slices), int, len(self.track_slices)
+        )
 
 
 @dataclass
@@ -668,21 +731,25 @@ class SplicedTable(ObservationTable):
         # produced by concat() on demand.
         self.scene = scene
         self.tracks = [t for tab in tables for t in tab.tracks]
-        if [t.track_id for t in self.tracks] != [
-            t.track_id for t in scene.tracks
-        ]:
+        # Identical track objects (the usual case) skip the id lists.
+        if self.tracks != scene.tracks and [
+            t.track_id for t in self.tracks
+        ] != [t.track_id for t in scene.tracks]:
             raise ValueError(
                 "tables do not cover scene.tracks in order: "
                 f"{[t.track_id for t in self.tracks]} != "
                 f"{[t.track_id for t in scene.tracks]}"
             )
         self._parts = list(tables)
-        self._n_obs = sum(tab.n_obs for tab in tables)
+        #: first observation row of each part (and the total, last)
+        self.part_offsets = cumulative_offsets(
+            [len(tab.observations) for tab in tables]
+        )
         self._materializing = False
 
     @property
     def n_obs(self) -> int:
-        return self._n_obs
+        return int(self.part_offsets[-1])
 
     @property
     def row_of(self) -> dict[str, int]:

@@ -15,26 +15,59 @@ every component anyway.
 
 Two evaluation strategies produce identical factor structure:
 
-- **Columnar (default)** — the scene is lowered to a
-  :class:`~repro.core.columnar.FeatureMatrix` (each feature extracted
-  once into NumPy arrays over a shared
-  :class:`~repro.core.columnar.ObservationTable`), every learned
-  (feature, group) pair is scored with a single batched ``log_pdf`` call
-  (:meth:`~repro.core.learning.LearnedModel.likelihood_batch`), AOFs are
-  applied batch-wise, and the resulting potentials live in flat arrays
-  (:class:`CompiledColumns`). **No factor-graph node objects are
-  built**: scoring reads the arrays directly, and the ``graph`` /
-  ``factors`` views materialize lazily on first access with exactly the
-  structure, names, and insertion order the scalar path produces.
+- **Columnar (default)** — an array-native kernel whose cost grows with
+  the number of NumPy calls per feature, not with Python iterations per
+  track, bundle or row:
+
+  1. :class:`~repro.core.columnar.ObservationTable` reads every
+     per-observation field in one pass and derives bundle, transition
+     and track ranges from cumulative sizes;
+  2. :class:`~repro.core.columnar.FeatureMatrix` extracts each feature
+     once over the table;
+  3. each learned feature is scored with one batched density call per
+     conditioning group
+     (:meth:`~repro.core.learning.LearnedModel.likelihood_batch`, which
+     groups rows by integer codes with a stable sort), and AOFs apply
+     batch-wise;
+  4. the factor store (:class:`CompiledColumns`) is assembled from the
+     columns laid end to end: one mask selects factor rows, one
+     ``searchsorted`` over the columns' track stops tags each row with
+     its (feature, track), and one stable sort by track yields the
+     scalar path's (track, feature, item) order. Per-track factor
+     slices come from a ``bincount``; the members-within-own-track
+     check is one vectorized comparison.
+
+  **No factor-graph node objects are built**: scoring reads the arrays
+  directly, and the ``graph`` / ``factors`` views materialize lazily on
+  first access with exactly the structure, names, and insertion order
+  the scalar path produces.
 - **Scalar reference** (``vectorized=False``) — the original
   O(items × features) loop of per-item ``likelihood()`` calls, kept as
   the executable specification the vectorized path is property-tested
   against (scores must agree to 1e-9; see
   ``tests/core/test_columnar.py``).
+
+Byte-identity contract: each vectorized step reproduces its
+object-level rule exactly, not merely to round-off — representative
+rows are :meth:`~repro.core.model.ObservationBundle.representative`,
+each distribution receives exactly the per-group row lists in
+first-appearance order (so KDE outputs and the density grid's lazy
+cutover depend only on the scene), and factor order, per-track slices
+and member overrides are the scalar graph's. The arrays of a compile
+(``ObservationTable`` fields, ``CompiledColumns``), and with them
+factor names and rankings, are therefore a pure function of the scene,
+features and model, down to the byte.
+``tests/core/test_compile_kernel.py`` pins each step to its rule.
+
+Delta recompilation (:func:`splice_compiled`) concatenates per-track
+compiles with one stacked block per segment and one gathered shift,
+and reuses a previous splice's arrays for the segments an edit left
+untouched.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
@@ -47,6 +80,7 @@ from repro.core.columnar import (
     ObservationTable,
     SplicedMatrix,
     SplicedTable,
+    cumulative_offsets,
     concat_arrays,
 )
 from repro.core.features import Feature, FeatureContext
@@ -128,6 +162,32 @@ class CompiledColumns:
         if rows is not None:
             return rows
         return np.arange(self.member_start[i], self.member_stop[i])
+
+    def column_lengths(self) -> np.ndarray:
+        """Row count of each active feature's column (memoized: splicing
+        reads it once per segment per delta recompile)."""
+        lengths = self.__dict__.get("_column_lengths")
+        if lengths is None:
+            lengths = np.fromiter(
+                (len(self.matrix.columns[f.name]) for f in self.features),
+                int,
+                len(self.features),
+            )
+            self._column_lengths = lengths
+        return lengths
+
+    def splice_block(self) -> np.ndarray:
+        """``factor_feature``, ``factor_item``, ``member_start`` and
+        ``member_stop`` stacked as one ``(4, n_factors)`` array
+        (memoized), so splicing concatenates one array per segment."""
+        block = self.__dict__.get("_splice_block")
+        if block is None:
+            block = np.stack([
+                self.factor_feature, self.factor_item,
+                self.member_start, self.member_stop,
+            ]).astype(int, copy=False)
+            self._splice_block = block
+        return block
 
     def factor_names(self) -> list[str]:
         """Factor names (``feature@track#index``), scalar-path identical."""
@@ -351,73 +411,7 @@ def _compile_columnar(
         aof = aof_map.get(feature.name, identity)
         column.potentials = _column_potentials(feature, column, learned, aof)
 
-    feat_parts: list[np.ndarray] = []
-    item_parts: list[np.ndarray] = []
-    pot_parts: list[np.ndarray] = []
-    ms_parts: list[np.ndarray] = []
-    me_parts: list[np.ndarray] = []
-    overrides: dict[int, np.ndarray] = {}
-    track_factor_slices: dict[str, tuple[int, int]] = {}
-    slices_cover_members = True
-    total = 0
-
-    for ti, track in enumerate(scene.tracks):
-        track_start = total
-        obs_lo, obs_hi = table.track_obs_slices[ti]
-        for fi, feature in enumerate(active):
-            column = matrix.columns[feature.name]
-            s, e = column.track_slices[ti]
-            if e == s:
-                continue
-            block = column.potentials[s:e]
-            # A factor needs both a potential and member observations to
-            # attach to (the scalar path skips empty-member items too).
-            has_members = column.member_stop[s:e] > column.member_start[s:e]
-            if column.member_overrides:
-                has_members = has_members.copy()
-                for row in range(s, e):
-                    if row in column.member_overrides:
-                        has_members[row - s] = True
-            valid_rows = s + np.flatnonzero(~np.isnan(block) & has_members)
-            if valid_rows.size == 0:
-                continue
-            member_starts = column.member_start[valid_rows]
-            member_stops = column.member_stop[valid_rows]
-            feat_parts.append(np.full(valid_rows.size, fi, dtype=int))
-            item_parts.append(valid_rows)
-            pot_parts.append(column.potentials[valid_rows])
-            ms_parts.append(member_starts)
-            me_parts.append(member_stops)
-            if column.member_overrides:
-                for offset, row in enumerate(valid_rows):
-                    rows = column.member_overrides.get(int(row))
-                    if rows is not None:
-                        overrides[total + offset] = rows
-                        if rows.size and (rows[0] < obs_lo or rows[-1] >= obs_hi):
-                            slices_cover_members = False
-            if slices_cover_members:
-                ranged = member_stops > member_starts
-                if ((member_starts[ranged] < obs_lo)
-                        | (member_stops[ranged] > obs_hi)).any():
-                    slices_cover_members = False
-            total += int(valid_rows.size)
-        track_factor_slices[track.track_id] = (track_start, total)
-
-    _concat = concat_arrays
-    columns = CompiledColumns(
-        table=table,
-        matrix=matrix,
-        features=active,
-        factor_feature=_concat(feat_parts, int),
-        factor_item=_concat(item_parts, int),
-        potentials=_concat(pot_parts, float),
-        member_start=_concat(ms_parts, int),
-        member_stop=_concat(me_parts, int),
-        member_overrides=overrides,
-        track_order=[t.track_id for t in scene.tracks],
-        track_factor_slices=track_factor_slices,
-        track_slices_cover_members=slices_cover_members,
-    )
+    columns = _assemble_factors(scene, table, matrix, active)
     if (columns.potentials < 0).any():
         bad = float(columns.potentials[columns.potentials < 0][0])
         raise ValueError(f"potential must be non-negative, got {bad}")
@@ -429,6 +423,96 @@ def _compile_columnar(
     )
 
 
+def _assemble_factors(
+    scene: Scene,
+    table: ObservationTable,
+    matrix: FeatureMatrix,
+    active: list[Feature],
+) -> CompiledColumns:
+    """Gather every column's factor rows into the track-major store.
+
+    The feature columns are laid end to end, so selecting factor rows
+    (a potential and at least one member observation), tagging each
+    with its feature and track, and ordering them is a fixed handful of
+    array operations whatever the number of tracks: one
+    ``searchsorted`` over the columns' concatenated track stops gives
+    every row's (feature, track) slot, and one stable sort by track
+    yields the scalar path's (track, feature, item) order.
+    """
+    n_tracks = len(scene.tracks)
+    columns = [matrix.columns[f.name] for f in active]
+    offsets = cumulative_offsets([len(c) for c in columns])
+    starts = offsets[:-1].tolist()
+    potentials = concat_arrays([c.potentials for c in columns], float)
+    member_start = concat_arrays([c.member_start for c in columns], int)
+    member_stop = concat_arrays([c.member_stop for c in columns], int)
+    override_rows = [
+        (start + row, rows)
+        for c, start in zip(columns, starts)
+        for row, rows in c.member_overrides.items()
+    ]
+    has_members = member_stop > member_start
+    if override_rows:
+        has_members[[g for g, _ in override_rows]] = True
+    rows = (~np.isnan(potentials) & has_members).nonzero()[0]
+
+    # Track stops of column f, shifted by its offset, are the slots
+    # f * n_tracks .. f * n_tracks + n_tracks - 1 of the combined stops.
+    stops = concat_arrays([c.track_stops() for c in columns], int)
+    stops += offsets[:-1].repeat(n_tracks)
+    slot = stops.searchsorted(rows, "right")
+    feature_of, track_of = np.divmod(slot, max(n_tracks, 1))
+    order = track_of.argsort(kind="stable")
+    selected = rows[order]
+    factor_feature = feature_of[order]
+    track_of = track_of[order]
+    member_start = member_start[selected]
+    member_stop = member_stop[selected]
+
+    bounds = cumulative_offsets(np.bincount(track_of, minlength=n_tracks))
+    edges = bounds.tolist()
+    track_factor_slices = {
+        track.track_id: (edges[ti], edges[ti + 1])
+        for ti, track in enumerate(scene.tracks)
+    }
+
+    # Member ranges must lie within the factor's own track rows.
+    obs_bounds = table.kind_track_bounds("observation")
+    lo, hi = obs_bounds[track_of], obs_bounds[track_of + 1]
+    ranged = member_stop > member_start
+    slices_cover_members = not (
+        ranged & ((member_start < lo) | (member_stop > hi))
+    ).any()
+
+    overrides: dict[int, np.ndarray] = {}
+    if override_rows:
+        factor_of = np.full(potentials.size, -1)
+        factor_of[selected] = np.arange(selected.size)
+        for g, members in override_rows:
+            i = int(factor_of[g])
+            if i < 0:
+                continue
+            overrides[i] = members
+            if members.size and (members[0] < lo[i] or members[-1] >= hi[i]):
+                slices_cover_members = False
+        overrides = dict(sorted(overrides.items()))
+
+    return CompiledColumns(
+        table=table,
+        matrix=matrix,
+        features=active,
+        factor_feature=factor_feature,
+        factor_item=selected - offsets[factor_feature],
+        potentials=potentials[selected],
+        member_start=member_start,
+        member_stop=member_stop,
+        member_overrides=overrides,
+        track_order=[t.track_id for t in scene.tracks],
+        track_factor_slices=track_factor_slices,
+        track_slices_cover_members=bool(slices_cover_members),
+    )
+
+
 def _column_potentials(
     feature: Feature,
     column: FeatureColumn,
@@ -437,13 +521,15 @@ def _column_potentials(
 ) -> np.ndarray:
     """AOF-transformed potentials for every row of a column (NaN = skip)."""
     out = np.full(len(column), np.nan)
-    valid_rows = np.flatnonzero(column.valid)
+    valid_rows = column.valid.nonzero()[0]
     if valid_rows.size == 0:
         return out
     if feature.learnable:
         # Filtered out in _compile_columnar when learned is None.
         values = column.values[valid_rows]
-        groups = [column.groups[r] for r in valid_rows]
+        groups = column.groups
+        if valid_rows.size != len(groups):
+            groups = list(map(groups.__getitem__, valid_rows.tolist()))
         likelihoods = learned.likelihood_batch(feature, values, groups)
         # NaN marks "no distribution for this group" — the scalar path
         # skips those items before the AOF ever runs; do the same.
@@ -455,7 +541,7 @@ def _column_potentials(
                 return out
     else:
         if column.values_list is not None:
-            raw = [column.values_list[r] for r in valid_rows]
+            raw = list(map(column.values_list.__getitem__, valid_rows.tolist()))
         else:
             raw = column.values[valid_rows]
         likelihoods = feature.manual_potential_batch(raw)
@@ -473,6 +559,7 @@ def splice_compiled(
     scene: Scene,
     segments: list[CompiledScene],
     context: FeatureContext | None = None,
+    previous: CompiledScene | None = None,
 ) -> CompiledScene:
     """Concatenate per-track columnar compiles into one compiled scene.
 
@@ -485,6 +572,13 @@ def splice_compiled(
     re-evaluated. The result is a first-class :class:`CompiledScene` —
     scoring, factor names, and lazy graph materialization all behave
     exactly as if the whole scene had been compiled at once.
+
+    ``previous`` is an earlier result of this function (typically the
+    same session before an edit). Its arrays are reused for the leading
+    and trailing runs of segments that are the very same objects in
+    both splices; only the segments in between are concatenated anew,
+    and the trailing run is shifted by however much the middle grew or
+    shrank. The result is identical to splicing from scratch.
 
     Requires every feature to be track-local (its factors attach only to
     observations of their own track) — true of the entire built-in
@@ -513,8 +607,9 @@ def splice_compiled(
     if any(p is None for p in parts):
         raise ValueError("splice_compiled requires vectorized (columnar) segments")
     features = parts[0].features
+    names = [f.name for f in features]
     for p in parts[1:]:
-        if [f.name for f in p.features] != [f.name for f in features]:
+        if p.features != features and [f.name for f in p.features] != names:
             raise ValueError("segments disagree on active features")
 
     # Merged table and matrix are lazy views: ranking never touches the
@@ -522,64 +617,114 @@ def splice_compiled(
     # no per-observation work for unchanged tracks.
     table = SplicedTable(scene, [p.table for p in parts])
     matrix = SplicedMatrix(scene, ctx, table, [p.matrix for p in parts])
+    n_features = len(features)
+    n_factors = [p.potentials.size for p in parts]
+    factor_offsets = cumulative_offsets(n_factors)
 
-    obs_offsets = np.cumsum([0] + [p.table.n_obs for p in parts])
-    factor_offsets = np.cumsum([0] + [p.n_factors for p in parts])
-    # factor_item indexes rows within a feature's column; offsets are
-    # cumulative *column lengths* per segment (equal to per-kind item
-    # counts for columnar columns, but a fallback column with a custom
-    # ``items_of`` may carry fewer rows than the table has items).
-    # ``per_feature[fi, i]`` is feature fi's item offset in segment i.
-    if features:
-        col_lens = np.asarray(
-            [
-                [len(p.matrix.columns[f.name]) for p in parts]
-                for f in features
-            ],
-            dtype=int,
-        )
-        per_feature = np.concatenate(
-            [np.zeros((len(features), 1), dtype=int),
-             np.cumsum(col_lens, axis=1)],
-            axis=1,
-        )
+    # Reuse `previous` for the leading (k) and trailing (m) segments
+    # that are the very same objects; only the middle is spliced anew.
+    prev = previous.columns if previous is not None else None
+    prev_parts = getattr(prev, "_splice_parts", None)
+    if prev_parts is None or [f.name for f in prev.features] != names:
+        prev_parts = []
+        prev_items = np.zeros((1, n_features), dtype=int)
+        prev_block = np.empty((4, 0), dtype=int)
+        prev_potentials = np.empty(0, dtype=float)
+        prev_obs_offsets = np.zeros(1, dtype=int)
     else:
-        per_feature = np.empty((0, len(parts) + 1), dtype=int)
-    item_parts = []
-    for i, p in enumerate(parts):
-        if p.factor_feature.size:
-            item_parts.append(p.factor_item + per_feature[p.factor_feature, i])
-        else:
-            item_parts.append(p.factor_item)
+        prev_items, prev_block = prev._item_offsets, prev.splice_block()
+        prev_potentials, prev_obs_offsets = prev.potentials, prev.table.part_offsets
+    same = list(map(operator.is_, parts, prev_parts)) + [False]
+    k = same.index(False)
+    same = list(map(operator.is_, reversed(parts), reversed(prev_parts)))
+    m = min((same + [False]).index(False), len(same) - k)
+    middle = parts[k:len(parts) - m]
+    lo, hi = int(factor_offsets[k]), int(factor_offsets[len(parts) - m])
+    # The trailing segments are shared, so they hold as many factors in
+    # both splices.
+    prev_hi = prev_block.shape[1] - (int(factor_offsets[-1]) - hi)
 
-    _concat = concat_arrays
+    # item_offsets[i, f]: rows of feature f's column in segments before
+    # i. factor_item indexes rows within a feature's column, so this is
+    # its shift (column lengths, not table kind counts: a fallback
+    # column with a custom ``items_of`` may carry fewer rows).
+    mid_items = np.zeros((len(middle) + 1, n_features), dtype=int)
+    np.cumsum(
+        concat_arrays([p.column_lengths() for p in middle], int).reshape(
+            len(middle), n_features
+        ),
+        axis=0,
+        out=mid_items[1:],
+    )
+    mid_items += prev_items[k]
+    item_growth = mid_items[-1] - prev_items[len(prev_parts) - m]
+    item_offsets = np.concatenate([
+        prev_items[:k], mid_items,
+        prev_items[len(prev_parts) - m + 1:] + item_growth,
+    ])
 
-    overrides: dict[int, np.ndarray] = {}
-    track_factor_slices: dict[str, tuple[int, int]] = {}
-    for p, f_off, r_off in zip(parts, factor_offsets, obs_offsets):
-        for i, rows in p.member_overrides.items():
-            overrides[i + int(f_off)] = rows + int(r_off)
-        for tid, (start, stop) in p.track_factor_slices.items():
-            track_factor_slices[tid] = (start + int(f_off), stop + int(f_off))
+    # The middle: one concatenation plus one gathered shift.
+    mid_block = np.concatenate(
+        [np.empty((4, 0), dtype=int)] + [p.splice_block() for p in middle],
+        axis=1,
+    )
+    segment_of = np.repeat(
+        np.arange(k, len(parts) - m), n_factors[k:len(parts) - m]
+    )
+    mid_block[1] += item_offsets.ravel()[segment_of * n_features + mid_block[0]]
+    mid_block[2:] += table.part_offsets[segment_of]
+    block = np.concatenate(
+        [prev_block[:, :lo], mid_block, prev_block[:, prev_hi:]], axis=1
+    )
+    potentials = np.concatenate(
+        [prev_potentials[:lo]]
+        + [p.potentials for p in middle]
+        + [prev_potentials[prev_hi:]]
+    )
+    # The trailing run moves by however much the middle grew or shrank.
+    trailing = block[:, hi:]
+    if item_growth.any():
+        trailing[1] += item_growth[trailing[0]]
+    obs_growth = int(
+        table.part_offsets[len(parts) - m]
+        - prev_obs_offsets[len(prev_parts) - m]
+    )
+    if obs_growth:
+        trailing[2:] += obs_growth
+    factor_feature, factor_item, member_start, member_stop = block
+
+    obs_offsets = table.part_offsets.tolist()
+    f_offsets = factor_offsets.tolist()
+    track_factor_slices = {
+        tid: (start + f_off, stop + f_off)
+        for p, f_off in zip(parts, f_offsets)
+        for tid, (start, stop) in p.track_factor_slices.items()
+    }
+    overrides = {
+        i + f_off: rows + r_off
+        for p, f_off, r_off in zip(parts, f_offsets, obs_offsets)
+        if p.member_overrides
+        for i, rows in p.member_overrides.items()
+    }
 
     columns = CompiledColumns(
         table=table,
         matrix=matrix,
         features=features,
-        factor_feature=_concat([p.factor_feature for p in parts], int),
-        factor_item=_concat(item_parts, int),
-        potentials=_concat([p.potentials for p in parts], float),
-        member_start=_concat(
-            [p.member_start + off for p, off in zip(parts, obs_offsets)], int
-        ),
-        member_stop=_concat(
-            [p.member_stop + off for p, off in zip(parts, obs_offsets)], int
-        ),
+        factor_feature=factor_feature,
+        factor_item=factor_item,
+        potentials=potentials,
+        member_start=member_start,
+        member_stop=member_stop,
         member_overrides=overrides,
         track_order=[t.track_id for t in scene.tracks],
         track_factor_slices=track_factor_slices,
         track_slices_cover_members=all(p.track_slices_cover_members for p in parts),
     )
+    # What a later splice needs to reuse this one.
+    columns._splice_parts = parts
+    columns._splice_block = block
+    columns._item_offsets = item_offsets
     return CompiledScene(
         scene=scene,
         context=ctx,

@@ -163,9 +163,14 @@ class Feature(ABC):
         """Batched :meth:`manual_potential` (manual features only).
 
         ``values`` is a sequence of non-``None`` feature values; returns
-        one potential per value. The default loops; manual features with
-        arithmetic potentials should override with array math.
+        one potential per value. With the default :meth:`manual_potential`
+        (the value itself) this is one array conversion; a subclass that
+        overrides only :meth:`manual_potential` gets a per-value loop, and
+        manual features with arithmetic potentials should override this
+        with array math.
         """
+        if type(self).manual_potential is Feature.manual_potential:
+            return np.asarray(values, dtype=float)
         return np.asarray(
             [self.manual_potential(value) for value in values], dtype=float
         )

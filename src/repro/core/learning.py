@@ -351,14 +351,25 @@ class LearnedModel:
         if len(groups) != n:
             raise ValueError(f"got {n} values but {len(groups)} group keys")
         out = np.full(n, np.nan)
-        rows_by_group: dict[str | None, list[int]] = {}
-        for row, group in enumerate(groups):
-            rows_by_group.setdefault(group, []).append(row)
-        for group, rows in rows_by_group.items():
+        # Integer-code the groups in first-appearance order; a stable
+        # sort by code then lists each group's rows in ascending order.
+        # Every group (even two sharing the pooled fallback) gets its
+        # own batch, in first-appearance order.
+        code_of = {group: code for code, group in enumerate(dict.fromkeys(groups))}
+        if len(code_of) == 1:
+            batches = [(next(iter(code_of)), slice(None))]
+        else:
+            codes = np.fromiter(map(code_of.__getitem__, groups), np.intp, n)
+            order = codes.argsort(kind="stable")
+            edges = codes[order].searchsorted(np.arange(len(code_of) + 1))
+            batches = [
+                (group, order[edges[code]:edges[code + 1]])
+                for group, code in code_of.items()
+            ]
+        for group, idx in batches:
             dist = self.lookup(feature, group)
             if dist is None:
                 continue
-            idx = np.asarray(rows, dtype=int)
             out[idx] = dist.likelihood_batch(arr[idx])
         return out
 

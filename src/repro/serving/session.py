@@ -18,7 +18,8 @@ potentials are reused byte-for-byte. Applying one edit to a scene with
 ``T`` tracks therefore costs one single-track compile plus an
 O(n) array splice, instead of ``T`` tracks' worth of feature extraction
 and density evaluation (the ``bench_delta_recompile`` benchmark asserts
-the resulting ≥5× at 25 tracks; in practice it approaches ``T``×).
+the resulting ≥5× at 25 tracks). Each splice starts from the previous
+one, whose arrays it reuses for the segments the edit did not touch.
 
 The from-scratch :func:`~repro.core.compile.compile_scene` remains the
 executable reference: :meth:`SceneSession.verify` recompiles the scene
@@ -149,6 +150,9 @@ class SceneSession:
         self._lock = threading.RLock()
         self._segments: dict[str, _Segment] = {}
         self._merged: CompiledScene | None = None
+        #: the last splice, kept across edits: the next splice reuses
+        #: its arrays for the segments an edit left untouched
+        self._spliced: CompiledScene | None = None
         self._scorer: Scorer | None = None
         #: obs_id -> owning track_id (with the per-track id sets below),
         #: maintained across edits so a duplicate observation id is
@@ -314,8 +318,10 @@ class SceneSession:
                         )
                     segments.append(segment.compiled)
                 self._merged = splice_compiled(
-                    self.scene, segments, context=self.context
+                    self.scene, segments, context=self.context,
+                    previous=self._spliced,
                 )
+                self._spliced = self._merged
                 self.stats.splices += 1
                 _SPLICES.inc()
             return self._merged

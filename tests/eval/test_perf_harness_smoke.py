@@ -36,6 +36,7 @@ def test_smoke_writes_full_report(harness_module, tmp_path, capsys):
 
     report = json.loads(out.read_text())
     assert report["generated_at"] > 0
+    assert report["environment"]["n_cpus"] >= 1
 
     ab = report["ab"]
     assert ab["cases"] and ab["cases"][0]["speedup"] is not None
